@@ -1,6 +1,8 @@
 // Self-benchmark: how fast is the *simulator*, in simulated cycles per
 // wall-second? Runs a fixed matrix of SSSP relaxation sweeps (power-law and
-// regular degree graphs x representative templates) and reports, per point,
+// regular degree graphs x representative templates), then two launch storms
+// (rec-naive BFS and dpar-naive SSSP, one device grid per irregular item) at
+// N and 4N nodes, and reports, per point,
 // the modeled metrics (deterministic, baseline-gated — so simulator-speed
 // work that changes a modeled cycle fails the comparator) alongside wall_us
 // and sim_cycles_per_sec (volatile, never compared). Methodology notes:
@@ -8,9 +10,13 @@
 // behind the numbers: docs/SIMULATOR.md.
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
 
 #include "bench_util.h"
+#include "src/apps/bfs.h"
 #include "src/apps/sssp.h"
 #include "src/graph/generators.h"
 #include "src/nested/templates.h"
@@ -41,18 +47,18 @@ struct Point {
   double best_wall_us = 0.0;
 };
 
-// One (graph, template) point: `reps` full sessions, best-of wall time.
-// Modeled metrics are identical across reps (the model-alignment heap makes
-// them independent of heap history), so the last report's values stand for
-// all of them.
-Point run_point(const graph::Csr& g, LoopTemplate tmpl, int reps) {
+// One point: `reps` full sessions of `body`, best-of wall time. Modeled
+// metrics are identical across reps (the model-alignment heap makes them
+// independent of heap history), so the last report's values stand for all
+// of them.
+Point run_point(const std::function<void(simt::Device&)>& body, int reps) {
   using clock = std::chrono::steady_clock;
   Point p;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = clock::now();
     simt::Device dev;
     simt::Session session = dev.session();
-    apps::run_sssp(dev, g, 0, tmpl);
+    body(dev);
     const simt::RunReport rep_out = session.report();
     const auto t1 = clock::now();
     const double wall_us =
@@ -65,6 +71,34 @@ Point run_point(const graph::Csr& g, LoopTemplate tmpl, int reps) {
     p.robustness = rep_out.robustness;
   }
   return p;
+}
+
+void report_point(const Point& p, std::string_view tmpl,
+                  const std::string& dataset, double scale,
+                  std::map<std::string, double> params,
+                  bench::SuiteResult& out) {
+  const double cps =
+      p.best_wall_us > 0.0 ? p.cycles / (p.best_wall_us / 1e6) : 0.0;
+  std::string label = dataset;
+  for (const auto& [k, v] : params) label += "/" + bench::fmt(v, 0);
+  bench::table_row({label, std::string(tmpl), bench::fmt(p.cycles, 0),
+                    bench::fmt(p.best_wall_us, 0), bench::fmt(cps / 1e6, 1)});
+
+  bench::Measurement m;
+  m.tmpl = std::string(tmpl);
+  m.dataset = dataset;
+  m.scale = scale;
+  m.params = std::move(params);
+  m.cycles = p.cycles;
+  m.warp_efficiency = p.warp_efficiency;
+  m.host_launches = p.host_launches;
+  m.device_launches = p.device_launches;
+  m.robustness = p.robustness;
+  // Wall-derived: routed to "extra_volatile" (also enforced by name via
+  // Measurement::is_wall_derived), never compared.
+  m.volatile_extra["wall_us"] = p.best_wall_us;
+  m.volatile_extra["sim_cycles_per_sec"] = cps;
+  out.measurements.push_back(std::move(m));
 }
 
 int run(const bench::Args& args, bench::SuiteResult& out) {
@@ -91,29 +125,41 @@ int run(const bench::Args& args, bench::SuiteResult& out) {
       {"dataset", "template", "cycles", "wall-us", "Mcycles/s"});
   for (const Dataset& d : datasets) {
     for (LoopTemplate tmpl : kTemplates) {
-      const Point p = run_point(d.g, tmpl, reps);
-      const double cps = p.best_wall_us > 0.0
-                             ? p.cycles / (p.best_wall_us / 1e6)
-                             : 0.0;
-      bench::table_row({d.name, std::string(nested::name(tmpl)),
-                        bench::fmt(p.cycles, 0), bench::fmt(p.best_wall_us, 0),
-                        bench::fmt(cps / 1e6, 1)});
-
-      bench::Measurement m;
-      m.tmpl = std::string(nested::name(tmpl));
-      m.dataset = d.name;
-      m.scale = scale;
-      m.cycles = p.cycles;
-      m.warp_efficiency = p.warp_efficiency;
-      m.host_launches = p.host_launches;
-      m.device_launches = p.device_launches;
-      m.robustness = p.robustness;
-      // Wall-derived: routed to "extra_volatile" (also enforced by name via
-      // Measurement::is_wall_derived), never compared.
-      m.volatile_extra["wall_us"] = p.best_wall_us;
-      m.volatile_extra["sim_cycles_per_sec"] = cps;
-      out.measurements.push_back(std::move(m));
+      const Point p = run_point(
+          [&](simt::Device& dev) { apps::run_sssp(dev, d.g, 0, tmpl); },
+          reps);
+      report_point(p, nested::name(tmpl), d.name, scale, {}, out);
     }
+  }
+
+  // Launch storms at N and 4N nodes: one device grid per irregular item, so
+  // recording cost is per grid rather than per warp step. Between the two
+  // sizes wall_us should grow like device_launches; a recorder whose cost is
+  // superlinear in grids grows much faster.
+  const auto storm_n = static_cast<std::uint32_t>(2500 * scale);
+  for (const std::uint32_t n : {storm_n, 4 * storm_n}) {
+    const graph::Csr g = graph::generate_uniform_random(n, 0, 32, 42, true);
+    std::uint32_t src = 0;
+    while (src + 1 < g.num_nodes() && g.degree(src) == 0) ++src;
+    const std::map<std::string, double> size{{"nodes", n}};
+    report_point(run_point(
+                     [&](simt::Device& dev) {
+                       apps::bfs_recursive_gpu(dev, g, src,
+                                               rec::RecTemplate::kRecNaive);
+                     },
+                     reps),
+                 rec::name(rec::RecTemplate::kRecNaive), "random",
+                 scale, size, out);
+    nested::LoopParams lp;
+    lp.lb_threshold = 16;
+    report_point(run_point(
+                     [&](simt::Device& dev) {
+                       apps::run_sssp(dev, g, src, LoopTemplate::kDparNaive,
+                                      lp);
+                     },
+                     reps),
+                 nested::name(LoopTemplate::kDparNaive), "random",
+                 scale, size, out);
   }
   return 0;
 }

@@ -33,7 +33,8 @@ void ServeTracer::record_grids(std::uint64_t request, std::uint32_t tenant,
                                std::uint64_t attempt_seq, double exec_begin_us,
                                const std::vector<simt::GridSlice>& slices) {
   if (!enabled_) return;
-  grids_.reserve(grids_.size() + slices.size());
+  // No reserve: an exact-size reserve per attempt reallocates every retained
+  // event each time, quadratic in the trace; push_back grows geometrically.
   for (const simt::GridSlice& s : slices) {
     GridEvent e;
     e.request = request;

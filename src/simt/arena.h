@@ -158,6 +158,8 @@ class FlatHist {
   }
 
   bool empty() const { return size_ == 0 && zero_count_ == 0; }
+  /// Table slots allocated (0 until the first key is added).
+  std::uint64_t capacity() const { return cap_; }
 
   /// Forget all entries; table storage is retained for reuse.
   void clear() {

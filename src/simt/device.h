@@ -197,6 +197,8 @@ class Device {
 
   const DeviceSpec& spec() const { return recorder_.spec(); }
   const LaunchGraph& graph() const { return recorder_.graph(); }
+  /// The functional pass, read-only (for its work counters).
+  const Recorder& recorder() const { return recorder_; }
 
   /// Grid size helper: blocks needed so that blocks*threads >= work items,
   /// clamped to `max_blocks` (grid-stride loops handle the remainder).

@@ -445,9 +445,14 @@ Recorder::Recorder(const DeviceSpec& spec, int max_nesting_depth)
       // parameter and the spec's ResourceLimits (both default to 24).
       max_depth_(std::min(max_nesting_depth, spec.limits.max_nesting_depth)) {}
 
+Recorder::~Recorder() = default;
+
 void Recorder::reset() {
   graph_ = LaunchGraph{};
+  block_records_ = std::vector<detail::BlockRecord>();
   seq_ = 0;
+  relocated_nodes_ = 0;
+  nodes_data_ = nullptr;
   host_robustness_ = RobustnessCounters{};
   host_attempt_seq_ = 0;
   stream_ids_.clear();
@@ -485,8 +490,9 @@ std::uint32_t Recorder::stream_id_for_device(std::uint32_t parent_node,
 std::uint32_t Recorder::create_host_node(const LaunchConfig& cfg,
                                          std::uint32_t stream) {
   validate_config(spec_, cfg);
-  KernelNode node;
-  node.id = static_cast<std::uint32_t>(graph_.nodes.size());
+  const auto id = static_cast<std::uint32_t>(graph_.nodes.size());
+  KernelNode& node = emplace_node();
+  node.id = id;
   node.name = cfg.name;
   node.origin = LaunchOrigin::kHost;
   node.grid_blocks = cfg.grid_blocks;
@@ -503,12 +509,25 @@ std::uint32_t Recorder::create_host_node(const LaunchConfig& cfg,
     node.batch_id = ctx.batch_id;
     node.requesters = ctx.members;
   }
-  graph_.nodes.push_back(std::move(node));
-  return graph_.nodes.back().id;
+  return id;
+}
+
+KernelNode& Recorder::emplace_node() {
+  // Storage that moved since the last append (a reserve), or that this
+  // append outgrows, relocates every node recorded so far.
+  if (graph_.nodes.data() != nodes_data_ ||
+      graph_.nodes.size() == graph_.nodes.capacity()) {
+    relocated_nodes_ += graph_.nodes.size();
+  }
+  KernelNode& node = graph_.nodes.emplace_back();
+  nodes_data_ = graph_.nodes.data();
+  return node;
 }
 
 namespace {
 constexpr std::uint32_t kNoNode = 0xffffffffu;
+/// Largest per-block atomic histogram (4 KiB) kept from grid to grid.
+constexpr std::uint64_t kRecycledHistSlots = 256;
 }  // namespace
 
 EventHandle Recorder::record_event(StreamHandle stream) {
@@ -587,9 +606,23 @@ void Recorder::run_grid(std::uint32_t node_id, const Kernel& k) {
         static_cast<std::uint64_t>(nblocks);
   }
 
-  std::vector<detail::BlockRecord> blocks(static_cast<std::size_t>(nblocks));
+  if (block_records_.size() < static_cast<std::size_t>(nblocks)) {
+    block_records_.resize(static_cast<std::size_t>(nblocks));
+  }
+  const std::span<detail::BlockRecord> blocks(block_records_.data(),
+                                              static_cast<std::size_t>(nblocks));
   const auto run_block = [&](std::int64_t b) {
     detail::BlockRecord& r = blocks[static_cast<std::size_t>(b)];
+    // Recycled from the previous grid: clear what it left. A histogram that
+    // grew large is dropped rather than cleared, so one big grid does not
+    // make every later small grid clear and scan its table.
+    r.metrics = Metrics{};
+    if (r.hist.capacity() > kRecycledHistSlots) {
+      r.hist = AtomicHist{};
+    } else if (!r.hist.empty()) {
+      r.hist.clear();
+    }
+    r.nodes.clear();
     r.budget = budget0;
     // node_id is final before any block runs (host nodes are created up
     // front, device nodes during the previous merge), so this key is
@@ -615,23 +648,25 @@ void Recorder::run_grid(std::uint32_t node_id, const Kernel& k) {
 }
 
 void Recorder::merge_grid(std::uint32_t node_id,
-                          std::vector<detail::BlockRecord>& blocks) {
+                          std::span<detail::BlockRecord> blocks) {
   // Merging in block order reproduces the serial engine's global state
   // exactly: node ids and launch seq numbers follow DFS creation order
   // within a block, block-major across blocks — which is the order one
   // thread running the blocks back-to-back would have produced. Stream
   // interning happens here too, so dense stream ids come out identical.
+  //
+  // The node vector grows geometrically through emplace_back: no reserve
+  // here. An exact-size reserve per merge reallocates (and moves every
+  // KernelNode) on each grid that launches children, which made recording
+  // quadratic in the number of grids. Growth may therefore reallocate
+  // mid-merge, so no reference into graph_.nodes lives across an
+  // emplace_back below.
   graph_.nodes[node_id].blocks.resize(blocks.size());
+  // The grid's hotspot is the max over keys of the per-block counts summed.
+  // With one block that sum is the block's own histogram, so only grids of
+  // several blocks build a grid-wide one.
   AtomicHist grid_hist;
-  {
-    // One reservation for every node this merge appends: KernelNode is heavy
-    // to move (five vectors and a string), so letting the vector double its
-    // way up through a launch-storm grid (dpar-naive spawns one child per
-    // heavy row) wastes measurable time in the merge path.
-    std::size_t incoming = 0;
-    for (const detail::BlockRecord& r : blocks) incoming += r.nodes.size();
-    graph_.nodes.reserve(graph_.nodes.size() + incoming);
-  }
+  const bool one_block = blocks.size() == 1;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     detail::BlockRecord& r = blocks[b];
     const std::uint32_t base = static_cast<std::uint32_t>(graph_.nodes.size());
@@ -641,15 +676,18 @@ void Recorder::merge_grid(std::uint32_t node_id,
       root.blocks[b] = std::move(r.cost);
       root.metrics += r.metrics;
     }
-    r.hist.for_each([&grid_hist](std::uint64_t addr, std::uint64_t count) {
-      grid_hist.add(addr, count);
-    });
+    if (!one_block) {
+      r.hist.for_each([&grid_hist](std::uint64_t addr, std::uint64_t count) {
+        grid_hist.add(addr, count);
+      });
+    }
     for (std::size_t j = 0; j < r.nodes.size(); ++j) {
       detail::ArenaNode& ln = r.nodes[j];
       // Built in place: KernelNode is five vectors and a string, so
       // emplace-then-fill skips a full move of every freshly merged node.
-      // The reserve above guarantees no reallocation happens mid-merge.
-      KernelNode& node = graph_.nodes.emplace_back();
+      // `node` is valid until the next emplace_back; `parent` is looked up
+      // by index after it.
+      KernelNode& node = emplace_node();
       node.id = base + static_cast<std::uint32_t>(j);
       node.name = std::move(ln.cfg.name);
       node.origin = LaunchOrigin::kDevice;
@@ -693,7 +731,8 @@ void Recorder::merge_grid(std::uint32_t node_id,
       }
     }
   }
-  graph_.nodes[node_id].hottest_atomic_ops = grid_hist.max_count();
+  graph_.nodes[node_id].hottest_atomic_ops =
+      one_block ? blocks[0].hist.max_count() : grid_hist.max_count();
 }
 
 // ---------------------------------------------------------------------------

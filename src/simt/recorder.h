@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -50,6 +51,7 @@ double combine_warp(const DeviceSpec& spec, Metrics& m, const WarpTrace& trace,
 class Recorder {
  public:
   explicit Recorder(const DeviceSpec& spec, int max_nesting_depth = 24);
+  ~Recorder();
 
   /// Launch a grid from the host into `stream`; runs it to completion
   /// functionally (including any nested launches it performs). On success the
@@ -70,6 +72,14 @@ class Recorder {
   LaunchGraph& graph() { return graph_; }
   const DeviceSpec& spec() const { return spec_; }
   int max_nesting_depth() const { return max_depth_; }
+
+  /// Work counter: launch-graph nodes moved by reallocations of the node
+  /// vector since the last reset(), whether an append or a reserve
+  /// reallocated. Geometric growth keeps it below twice the nodes recorded;
+  /// reallocating on every grid that launches children makes it grow with
+  /// the square of the grid count. Host-side bookkeeping only: not part of
+  /// any report.
+  std::uint64_t relocated_nodes() const { return relocated_nodes_; }
 
   /// Install/replace the transient-fault injector (survives reset()).
   void set_fault_config(const FaultConfig& cfg) {
@@ -99,11 +109,13 @@ class Recorder {
 
  private:
   std::uint32_t create_host_node(const LaunchConfig& cfg, std::uint32_t stream);
+  /// Append a default node to the launch graph, counting the nodes a
+  /// reallocation moves. Invalidates references into graph_.nodes.
+  KernelNode& emplace_node();
   /// Execute one recorded grid: fan its blocks out as tasks (pool or serial),
   /// then merge their records deterministically in block order.
   void run_grid(std::uint32_t node_id, const Kernel& k);
-  void merge_grid(std::uint32_t node_id,
-                  std::vector<detail::BlockRecord>& blocks);
+  void merge_grid(std::uint32_t node_id, std::span<detail::BlockRecord> blocks);
 
   std::uint32_t stream_id_for_host(int user_stream);
   std::uint32_t stream_id_for_device(std::uint32_t parent_node,
@@ -118,12 +130,20 @@ class Recorder {
   std::uint64_t host_attempt_seq_ = 0;
   TraceContext trace_ctx_;
   LaunchGraph graph_;
+  /// Per-block records of the grid being run, recycled from grid to grid
+  /// (run_grid is never re-entered: nested grids run inside block tasks and
+  /// deferred ones after it returns). Released by reset().
+  std::vector<detail::BlockRecord> block_records_;
   /// Fire-and-forget device launches awaiting the post-grid drain.
   std::vector<std::pair<std::uint32_t, Kernel>> deferred_;
   /// Deterministic drain-order randomization (models the hardware's lack of
   /// cross-block launch ordering guarantees).
   std::mt19937_64 drain_rng_{0x9e3779b97f4a7c15ull};
   std::uint64_t seq_ = 0;
+  std::uint64_t relocated_nodes_ = 0;
+  /// graph_.nodes.data() after the last append, to see reallocations made
+  /// between appends.
+  const KernelNode* nodes_data_ = nullptr;
   FlatIdMap stream_ids_;
   /// Tail (last node id) per dense stream id, for event recording.
   FlatIdMap stream_tail_;

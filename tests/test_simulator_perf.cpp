@@ -15,7 +15,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 
+#include "src/apps/bfs.h"
 #include "src/apps/sssp.h"
 #include "src/graph/generators.h"
 #include "src/nested/templates.h"
@@ -281,6 +283,57 @@ TEST(SimulatorPerfEngineDeterminism, SerialAndParallelAgreeOnScratchReuse) {
               reports[1].robustness.refused_total());
     EXPECT_EQ(reports[0].robustness.degraded,
               reports[1].robustness.degraded);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Complexity guard on the recorder's merge path. Launch storms (one grid per
+// irregular item) append tens of thousands of nodes to the launch graph; the
+// node vector must grow geometrically, so the nodes its reallocations move
+// stay within a constant per recorded node at every size. An exact-size
+// reserve per merge moves the whole graph on every grid that launches
+// children, and the ratio then grows with the graph. A deterministic work
+// count, not a clock: it reads the same on any host.
+
+struct StormCase {
+  const char* name;
+  std::function<void(simt::Device&, const graph::Csr&, std::uint32_t)> run;
+};
+
+double relocated_per_node(const StormCase& c, std::uint32_t nodes) {
+  const graph::Csr g = graph::generate_uniform_random(nodes, 0, 32, 7, true);
+  simt::Device dev;
+  dev.set_fault_config({});
+  std::uint32_t src = 0;
+  while (g.degree(src) == 0) ++src;
+  simt::Session session = dev.session();
+  c.run(dev, g, src);
+  const std::size_t recorded = session.graph().nodes.size();
+  EXPECT_GT(recorded, nodes / 2) << c.name << ": not a launch storm";
+  return static_cast<double>(dev.recorder().relocated_nodes()) /
+         static_cast<double>(recorded);
+}
+
+TEST(SimulatorPerfComplexity, LaunchGraphGrowthIsLinearInGrids) {
+  const StormCase cases[] = {
+      {"rec-naive BFS",
+       [](simt::Device& dev, const graph::Csr& g, std::uint32_t src) {
+         apps::bfs_recursive_gpu(dev, g, src,
+                                 nestpar::rec::RecTemplate::kRecNaive);
+       }},
+      {"dpar-naive SSSP",
+       [](simt::Device& dev, const graph::Csr& g, std::uint32_t src) {
+         nested::LoopParams p;
+         p.lb_threshold = 16;
+         apps::run_sssp(dev, g, src, LoopTemplate::kDparNaive, p);
+       }},
+  };
+  constexpr std::uint32_t kN = 500;
+  for (const StormCase& c : cases) {
+    for (std::uint32_t nodes : {kN, 4 * kN}) {
+      EXPECT_LE(relocated_per_node(c, nodes), 2.0)
+          << c.name << " on " << nodes << " nodes";
+    }
   }
 }
 
