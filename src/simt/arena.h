@@ -97,7 +97,13 @@ class Arena {
 /// Linear probing over a power-of-two table, splitmix64 finalizer as the
 /// hash. Only the *maximum* count and order-independent merging are ever
 /// consumed (KernelNode::hottest_atomic_ops), so iteration order is free to
-/// be table order.
+/// be insertion order.
+///
+/// Work is proportional to the keys present, never to the table size: the
+/// running maximum makes `max_count()` O(1), and a list of the occupied
+/// slots makes `for_each()` and `clear()` O(keys). A histogram recycled from
+/// grid to grid therefore costs a small grid nothing for the large table an
+/// earlier grid grew.
 ///
 /// Key 0 is reserved as the empty-slot sentinel; real keys are atomic-unit
 /// indices (address / atomic_segment_bytes) of heap addresses and are never
@@ -121,51 +127,48 @@ class FlatHist {
   void add(std::uint64_t key, std::uint64_t n) {
     if (key == 0) {
       zero_count_ += n;
+      if (zero_count_ > max_) max_ = zero_count_;
       return;
     }
-    if (size_ * 4 >= cap_ * 3) grow();
+    if (used_.size() * 4 >= cap_ * 3) grow();
     std::uint64_t i = mix(key) & (cap_ - 1);
     while (slots_[i].key != 0) {
       if (slots_[i].key == key) {
         slots_[i].count += n;
+        if (slots_[i].count > max_) max_ = slots_[i].count;
         return;
       }
       i = (i + 1) & (cap_ - 1);
     }
     slots_[i] = Slot{key, n};
-    ++size_;
+    used_.push_back(static_cast<std::uint32_t>(i));
+    if (n > max_) max_ = n;
   }
 
   /// Largest count over all keys (0 when empty) — the hotspot-serialization
   /// input of the timing model.
-  std::uint64_t max_count() const {
-    std::uint64_t m = zero_count_;
-    for (std::uint64_t i = 0; i < cap_; ++i) {
-      if (slots_[i].key != 0 && slots_[i].count > m) m = slots_[i].count;
-    }
-    return m;
-  }
+  std::uint64_t max_count() const { return max_; }
 
-  /// Visit every (key, count) pair in unspecified order. Callers must only
-  /// perform order-independent reductions (the merge in Recorder::merge_grid
-  /// sums counts per key, then takes the max — both commutative).
+  /// Visit every (key, count) pair once, in unspecified order. Callers must
+  /// only perform order-independent reductions (the merge in
+  /// Recorder::run_grid sums counts per key, then takes the max — both
+  /// commutative).
   template <class F>
   void for_each(F&& f) const {
     if (zero_count_ > 0) f(std::uint64_t{0}, zero_count_);
-    for (std::uint64_t i = 0; i < cap_; ++i) {
-      if (slots_[i].key != 0) f(slots_[i].key, slots_[i].count);
-    }
+    for (const std::uint32_t i : used_) f(slots_[i].key, slots_[i].count);
   }
 
-  bool empty() const { return size_ == 0 && zero_count_ == 0; }
+  bool empty() const { return used_.empty() && zero_count_ == 0; }
   /// Table slots allocated (0 until the first key is added).
   std::uint64_t capacity() const { return cap_; }
 
   /// Forget all entries; table storage is retained for reuse.
   void clear() {
-    if (slots_ != nullptr) std::memset(slots_, 0, cap_ * sizeof(Slot));
-    size_ = 0;
+    for (const std::uint32_t i : used_) slots_[i].key = 0;
+    used_.clear();
     zero_count_ = 0;
+    max_ = 0;
   }
 
  private:
@@ -190,18 +193,19 @@ class FlatHist {
   void swap(FlatHist& o) noexcept {
     std::swap(slots_, o.slots_);
     std::swap(cap_, o.cap_);
-    std::swap(size_, o.size_);
+    used_.swap(o.used_);
     std::swap(zero_count_, o.zero_count_);
+    std::swap(max_, o.max_);
   }
 
   void grow() {
     const std::uint64_t ncap = cap_ == 0 ? 64 : cap_ * 2;
     auto* ns = new Slot[ncap]();
-    for (std::uint64_t i = 0; i < cap_; ++i) {
-      if (slots_[i].key == 0) continue;
-      std::uint64_t j = mix(slots_[i].key) & (ncap - 1);
+    for (std::uint32_t& u : used_) {
+      std::uint64_t j = mix(slots_[u].key) & (ncap - 1);
       while (ns[j].key != 0) j = (j + 1) & (ncap - 1);
-      ns[j] = slots_[i];
+      ns[j] = slots_[u];
+      u = static_cast<std::uint32_t>(j);
     }
     delete[] slots_;
     slots_ = ns;
@@ -210,8 +214,10 @@ class FlatHist {
 
   Slot* slots_ = nullptr;
   std::uint64_t cap_ = 0;  ///< Power of two (or 0 before first use).
-  std::uint64_t size_ = 0;
+  /// Indices of the occupied slots, in insertion order.
+  std::vector<std::uint32_t> used_;
   std::uint64_t zero_count_ = 0;
+  std::uint64_t max_ = 0;  ///< Running max over every count, zero_count_ too.
 };
 
 /// Open-addressing map: 64-bit key -> 32-bit value. Replaces the

@@ -153,8 +153,11 @@ RunReport Device::report() {
   std::unordered_map<std::string, std::size_t> index;
   for (const KernelNode& node : graph.nodes) {
     if (node.origin == LaunchOrigin::kDevice) ++rep.device_grids;
-    auto [it, inserted] = index.emplace(node.name, rep.per_kernel.size());
-    if (inserted) {
+    // Look up before inserting: emplace would copy the name into a new
+    // map node for every grid, only to drop it on a hit.
+    auto it = index.find(node.name);
+    if (it == index.end()) {
+      it = index.emplace(node.name, rep.per_kernel.size()).first;
       rep.per_kernel.push_back(KernelReport{node.name, 0, 0.0, Metrics{}});
     }
     KernelReport& kr = rep.per_kernel[it->second];

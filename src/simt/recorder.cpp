@@ -60,8 +60,9 @@ struct LaunchBudget {
 };
 
 /// Everything one block of a top-level grid records: its cost and metrics
-/// contributions, its share of the grid's atomic histogram, and every grid
-/// its lanes launched (synchronous ones executed inline on the same thread).
+/// contributions, its share of the grid's atomic histogram (only while the
+/// grid's blocks run concurrently), and every grid its lanes launched
+/// (synchronous ones executed inline on the same thread).
 struct BlockRecord {
   BlockCost cost;
   Metrics metrics;
@@ -87,6 +88,39 @@ void validate_config(const DeviceSpec& spec, const LaunchConfig& cfg) {
     throw std::invalid_argument("aggregated_descriptors < 0");
   }
 }
+
+/// Per-host-thread stack of grid atomic histograms, indexed by how many
+/// grids are running on the thread: the grid Recorder::run_grid is running,
+/// then each synchronously launched nested grid inside it. A histogram is
+/// allocated the first time a level is reached and cleared — in time
+/// proportional to its keys — for every later grid at that level.
+struct GridHistStack {
+  std::vector<std::unique_ptr<AtomicHist>> levels;
+  std::size_t depth = 0;
+};
+
+thread_local GridHistStack g_grid_hists;
+
+/// The calling thread's histogram for one grid, empty on entry and returned
+/// to the stack on scope exit (unwinding included).
+struct GridHistLease {
+  GridHistLease() : hist(acquire()) {}
+  ~GridHistLease() { --g_grid_hists.depth; }
+  GridHistLease(const GridHistLease&) = delete;
+  GridHistLease& operator=(const GridHistLease&) = delete;
+
+  static AtomicHist& acquire() {
+    GridHistStack& st = g_grid_hists;
+    if (st.depth == st.levels.size()) {
+      st.levels.push_back(std::make_unique<AtomicHist>());
+    }
+    AtomicHist& h = *st.levels[st.depth++];
+    h.clear();
+    return h;
+  }
+
+  AtomicHist& hist;
+};
 
 /// BlockEnv backing one running block. `node_local` selects the grid the
 /// block belongs to within the task's recording: -1 for the top-level grid
@@ -178,14 +212,16 @@ class EngineEnv final : public detail::BlockEnv {
     const int nblocks = rec_->nodes[local].cfg.grid_blocks;
     const int nthreads = rec_->nodes[local].cfg.block_threads;
     const std::uint32_t depth = rec_->nodes[local].nest_depth;
-    AtomicHist grid_hist;
+    GridHistLease grid_hist;
+    // The block costs become the node's own list (moved into the launch
+    // graph at merge), so this is the one allocation a nested grid needs.
     std::vector<BlockCost> costs(static_cast<std::size_t>(nblocks));
     for (int b = 0; b < nblocks; ++b) {
       // Nested grids run inline on the parent block's thread, so they
       // inherit the parent's exclusivity: concurrent sibling blocks of the
       // enclosing host grid may still be touching the same global memory.
       EngineEnv env(rec_, spec_, max_depth_,
-                    static_cast<std::int64_t>(local), depth, &grid_hist,
+                    static_cast<std::int64_t>(local), depth, &grid_hist.hist,
                     injector_, exclusive_mem_);
       BlockCtx blk(&env, b, nthreads, nblocks);
       k(blk);
@@ -195,7 +231,7 @@ class EngineEnv final : public detail::BlockEnv {
     detail::ArenaNode& n = rec_->nodes[local];
     n.blocks = std::move(costs);
     n.hottest_atomic_ops = std::max(n.hottest_atomic_ops,
-                                    grid_hist.max_count());
+                                    grid_hist.hist.max_count());
   }
 
   detail::BlockRecord* rec_;
@@ -448,11 +484,17 @@ Recorder::Recorder(const DeviceSpec& spec, int max_nesting_depth)
 Recorder::~Recorder() = default;
 
 void Recorder::reset() {
+  // The node vector keeps its capacity: a session that records as many grids
+  // as the previous one (a repeated run, a stream of serve attempts) then
+  // appends without reallocating.
+  std::vector<KernelNode> nodes = std::move(graph_.nodes);
+  nodes.clear();
   graph_ = LaunchGraph{};
+  graph_.nodes = std::move(nodes);
   block_records_ = std::vector<detail::BlockRecord>();
   seq_ = 0;
   relocated_nodes_ = 0;
-  nodes_data_ = nullptr;
+  nodes_data_ = graph_.nodes.data();
   host_robustness_ = RobustnessCounters{};
   host_attempt_seq_ = 0;
   stream_ids_.clear();
@@ -591,6 +633,11 @@ void Recorder::run_grid(std::uint32_t node_id, const Kernel& k) {
   const int nblocks = graph_.nodes[node_id].grid_blocks;
   const int nthreads = graph_.nodes[node_id].block_threads;
   const std::uint32_t depth = graph_.nodes[node_id].nest_depth;
+  // This grid's blocks run back-to-back on one thread (serial engine, or a
+  // single-block grid — host grids never overlap each other, so no other
+  // thread can be touching global memory): memory access is exclusive, and
+  // every block bumps the grid histogram directly.
+  const bool one_thread = pool_ == nullptr || nblocks == 1;
 
   // Per-block launch budget: the grid's pool/heap capacity split evenly
   // across its blocks (exhaustion must not depend on cross-block timing).
@@ -611,17 +658,11 @@ void Recorder::run_grid(std::uint32_t node_id, const Kernel& k) {
   }
   const std::span<detail::BlockRecord> blocks(block_records_.data(),
                                               static_cast<std::size_t>(nblocks));
+  GridHistLease grid_hist;
   const auto run_block = [&](std::int64_t b) {
     detail::BlockRecord& r = blocks[static_cast<std::size_t>(b)];
-    // Recycled from the previous grid: clear what it left. A histogram that
-    // grew large is dropped rather than cleared, so one big grid does not
-    // make every later small grid clear and scan its table.
+    // Recycled from the previous grid: clear what it left.
     r.metrics = Metrics{};
-    if (r.hist.capacity() > kRecycledHistSlots) {
-      r.hist = AtomicHist{};
-    } else if (!r.hist.empty()) {
-      r.hist.clear();
-    }
     r.nodes.clear();
     r.budget = budget0;
     // node_id is final before any block runs (host nodes are created up
@@ -630,20 +671,37 @@ void Recorder::run_grid(std::uint32_t node_id, const Kernel& k) {
     r.budget.grid_key = fault_mix(
         (static_cast<std::uint64_t>(node_id) << 24) ^
         static_cast<std::uint64_t>(b));
-    // Exclusive when this grid's blocks run back-to-back on one thread
-    // (serial engine, or a single-block grid — host grids never overlap
-    // each other, so no other thread can be touching global memory).
-    EngineEnv env(&r, &spec_, max_depth_, /*node_local=*/-1, depth, &r.hist,
-                  &injector_, !(pool_ != nullptr && nblocks > 1));
+    AtomicHist* hist = &grid_hist.hist;
+    if (!one_thread) {
+      // Concurrent blocks count into their own tables, summed per key after
+      // the grid. A table that grew large is dropped rather than kept, so
+      // one big grid does not pin its memory in every recycled record.
+      if (r.hist.capacity() > kRecycledHistSlots) {
+        r.hist = AtomicHist{};
+      } else {
+        r.hist.clear();
+      }
+      hist = &r.hist;
+    }
+    EngineEnv env(&r, &spec_, max_depth_, /*node_local=*/-1, depth, hist,
+                  &injector_, one_thread);
     BlockCtx blk(&env, static_cast<int>(b), nthreads, nblocks);
     k(blk);
     r.cost = blk.finish();
   };
-  if (pool_ != nullptr && nblocks > 1) {
-    pool_->parallel_for(nblocks, run_block);
-  } else {
+  if (one_thread) {
     for (std::int64_t b = 0; b < nblocks; ++b) run_block(b);
+  } else {
+    pool_->parallel_for(nblocks, run_block);
+    // The grid's hotspot is the max over keys of the per-block counts
+    // summed, which is what one histogram bumped by every block would hold.
+    for (const detail::BlockRecord& r : blocks) {
+      r.hist.for_each([&grid_hist](std::uint64_t addr, std::uint64_t count) {
+        grid_hist.hist.add(addr, count);
+      });
+    }
   }
+  graph_.nodes[node_id].hottest_atomic_ops = grid_hist.hist.max_count();
   merge_grid(node_id, blocks);
 }
 
@@ -662,11 +720,6 @@ void Recorder::merge_grid(std::uint32_t node_id,
   // mid-merge, so no reference into graph_.nodes lives across an
   // emplace_back below.
   graph_.nodes[node_id].blocks.resize(blocks.size());
-  // The grid's hotspot is the max over keys of the per-block counts summed.
-  // With one block that sum is the block's own histogram, so only grids of
-  // several blocks build a grid-wide one.
-  AtomicHist grid_hist;
-  const bool one_block = blocks.size() == 1;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     detail::BlockRecord& r = blocks[b];
     const std::uint32_t base = static_cast<std::uint32_t>(graph_.nodes.size());
@@ -675,11 +728,6 @@ void Recorder::merge_grid(std::uint32_t node_id,
       KernelNode& root = graph_.nodes[node_id];
       root.blocks[b] = std::move(r.cost);
       root.metrics += r.metrics;
-    }
-    if (!one_block) {
-      r.hist.for_each([&grid_hist](std::uint64_t addr, std::uint64_t count) {
-        grid_hist.add(addr, count);
-      });
     }
     for (std::size_t j = 0; j < r.nodes.size(); ++j) {
       detail::ArenaNode& ln = r.nodes[j];
@@ -731,8 +779,6 @@ void Recorder::merge_grid(std::uint32_t node_id,
       }
     }
   }
-  graph_.nodes[node_id].hottest_atomic_ops =
-      one_block ? blocks[0].hist.max_count() : grid_hist.max_count();
 }
 
 // ---------------------------------------------------------------------------
@@ -1008,6 +1054,55 @@ double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
       window = std::min(window, end[i] - cur[i]);
     }
     for (std::uint32_t s = 0; s < window; ++s) {
+      // Converged step: every live lane runs a compute op, or every one a
+      // global load (most steps of most workloads). One group forms, so a
+      // dedicated loop reproduces its block below exactly — same lane
+      // order, same terms, one float add — without the per-lane switch and
+      // the eight group checks.
+      const std::uint8_t kind0 = kinds[cur[0] + s];
+      const auto k0 = static_cast<OpKind>(kind0);
+      if (k0 == OpKind::kCompute || k0 == OpKind::kGlobalLoad) {
+        bool converged = true;
+        for (int i = 1; i < alive; ++i) converged &= kinds[cur[i] + s] == kind0;
+        if (converged && k0 == OpKind::kCompute) {
+          std::uint32_t comp_sum = 0, comp_max = 0;
+          for (int i = 0; i < alive; ++i) {
+            const std::uint32_t n = counts[cur[i] + s];
+            comp_sum += n;
+            comp_max = std::max(comp_max, n);
+          }
+          cost += comp_max * compute_cyc;
+          ws += comp_max;
+          alo += comp_sum;
+          comp_ops += comp_sum;
+          lh[alive] += comp_max;
+          continue;
+        }
+        if (converged) {
+          int seg_n = 0, extra = 0;
+          std::uint64_t req = 0;
+          UniqTracker uc;
+          for (int i = 0; i < alive; ++i) {
+            const std::uint32_t idx = cur[i] + s;
+            const std::uint64_t addr = addrs[idx];
+            const std::uint32_t nbytes = op_bytes[idx];
+            req += nbytes;
+            const std::uint64_t s0 = seg_of(addr);
+            const std::uint64_t s1 = seg_of(addr + nbytes - 1);
+            uc.push(ld_segs, seg_n, s0);
+            if (s1 != s0) uc.push(ld_segs, seg_n, s1);
+            if (s1 > s0 + 1) extra += static_cast<int>(s1 - s0 - 1);
+          }
+          const int k = uc.resolve(ld_segs, seg_n) + extra;
+          cost += mem_base_cyc + k * mem_tx_cyc;
+          ws += 1;
+          alo += static_cast<std::uint64_t>(alive);
+          gld_req_b += req;
+          gld_xfer_b += static_cast<std::uint64_t>(k) * seg;
+          lh[alive] += 1;
+          continue;
+        }
+      }
       std::uint32_t comp_n = 0, comp_sum = 0, comp_max = 0;
       std::uint32_t fail_n = 0, stall_max = 0;
       int ld_n = 0, st_n = 0, sh_n = 0, at_n = 0, ln_n = 0;

@@ -41,13 +41,15 @@ double combine_warp(const DeviceSpec& spec, Metrics& m, const WarpTrace& trace,
 ///
 /// Engine structure: every block of a top-level grid runs as an independent
 /// task recording into a private detail::BlockRecord (its cost, its metrics
-/// contributions, its atomic histogram, and — in creation order — every grid
-/// its lanes launched, executed inline on the same thread). The tasks run
-/// serially or on a ThreadPool; either way the records are merged into the
-/// launch graph *in block order* on the submitting thread, which assigns
-/// node ids, launch sequence numbers, and stream ids in exactly the order
-/// the classic serial engine produced. Cycle counts and functional results
-/// are therefore bit-identical across engines.
+/// contributions and — in creation order — every grid its lanes launched,
+/// executed inline on the same thread). The tasks run serially or on a
+/// ThreadPool; either way the records are merged into the launch graph *in
+/// block order* on the submitting thread, which assigns node ids, launch
+/// sequence numbers, and stream ids in exactly the order the classic serial
+/// engine produced. Cycle counts and functional results are therefore
+/// bit-identical across engines. Blocks that run on one thread bump the
+/// grid's atomic histogram directly; concurrent blocks each count into
+/// their record's own table, summed per key after the grid.
 class Recorder {
  public:
   explicit Recorder(const DeviceSpec& spec, int max_nesting_depth = 24);

@@ -111,21 +111,35 @@ TEST_P(LoopDeterminism, SsspMatchesSerialEngineExactly) {
 
   apps::SsspResult a, b;
   simt::RunReport ra, rb;
+  // Per-grid hotspot counts: the serial engine bumps one histogram per grid,
+  // the parallel one sums per-block tables after a multi-block grid; the two
+  // must agree on every node.
+  std::vector<std::uint64_t> hot_a, hot_b;
+  const auto hottest = [](const simt::Session& session) {
+    std::vector<std::uint64_t> v;
+    for (const simt::KernelNode& n : session.graph().nodes) {
+      v.push_back(n.hottest_atomic_ops);
+    }
+    return v;
+  };
   {
     simt::Session session = dev.session(simt::ExecPolicy::serial());
     a = apps::run_sssp(dev, g, src, GetParam(), p);
     ra = session.report();
+    hot_a = hottest(session);
   }
   {
     simt::Session session = dev.session(kParallel);
     b = apps::run_sssp(dev, g, src, GetParam(), p);
     rb = session.report();
+    hot_b = hottest(session);
   }
 
   EXPECT_EQ(a.iterations, b.iterations);
   ASSERT_EQ(a.dist.size(), b.dist.size());
   EXPECT_EQ(a.dist, b.dist);  // bitwise-equal floats
   expect_identical(ra, rb);
+  EXPECT_EQ(hot_a, hot_b);
 }
 
 TEST_P(LoopDeterminism, SpmvBundledRunMatches) {

@@ -13,9 +13,11 @@
 // engine-deterministic when launches fail and templates degrade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <vector>
 
 #include "src/apps/bfs.h"
 #include "src/apps/sssp.h"
@@ -114,6 +116,64 @@ TEST(SimulatorPerfFlatHist, ClearRetainsNothing) {
   EXPECT_EQ(h.max_count(), 0u);
   h.bump(5);
   EXPECT_EQ(h.max_count(), 1u);
+}
+
+TEST(SimulatorPerfFlatHist, RunningMaxAcrossGrowthAddAndKeyZero) {
+  simt::FlatHist h;
+  // Key 0 (the sentinel) takes part in the running max like any other key.
+  h.add(0, 5);
+  EXPECT_EQ(h.max_count(), 5u);
+  for (std::uint64_t k = 1; k <= 500; ++k) h.bump(k);  // several regrowths
+  EXPECT_GT(h.capacity(), 512u);
+  EXPECT_EQ(h.max_count(), 5u);
+  h.add(250, 9);  // a key inserted before the growth, found after it
+  EXPECT_EQ(h.max_count(), 10u);
+  h.add(0, 6);
+  EXPECT_EQ(h.max_count(), 11u);
+  h.add(600, 12);  // a new key arriving with a count above the max
+  EXPECT_EQ(h.max_count(), 12u);
+  h.clear();
+  EXPECT_TRUE(h.empty());
+  EXPECT_EQ(h.max_count(), 0u);
+  h.add(0, 2);
+  EXPECT_EQ(h.max_count(), 2u);
+}
+
+TEST(SimulatorPerfFlatHist, ForEachAfterGrowthVisitsEachKeyOnce) {
+  simt::FlatHist h;
+  constexpr std::uint64_t kKeys = 1000;
+  for (std::uint64_t k = 1; k <= kKeys; ++k) h.add(k * 977, k);
+  std::vector<std::uint64_t> seen;
+  h.for_each([&](std::uint64_t key, std::uint64_t count) {
+    EXPECT_EQ(key % 977, 0u);
+    EXPECT_EQ(count, key / 977);
+    seen.push_back(key);
+  });
+  ASSERT_EQ(seen.size(), kKeys);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+  EXPECT_EQ(h.max_count(), kKeys);
+}
+
+TEST(SimulatorPerfFlatHist, ClearAfterGrowthLeavesNoStaleKey) {
+  simt::FlatHist h;
+  for (std::uint64_t k = 1; k <= 300; ++k) h.add(k, 7);
+  const std::uint64_t cap = h.capacity();
+  h.clear();
+  EXPECT_EQ(h.capacity(), cap);  // storage is kept for reuse
+  EXPECT_TRUE(h.empty());
+  std::uint64_t visits = 0;
+  h.for_each([&](std::uint64_t, std::uint64_t) { ++visits; });
+  EXPECT_EQ(visits, 0u);
+  // Re-adding old keys starts them from zero, not from their stale counts,
+  // and a probe chain through cleared slots finds no phantom entry.
+  for (std::uint64_t k = 1; k <= 300; ++k) h.bump(k);
+  EXPECT_EQ(h.max_count(), 1u);
+  h.for_each([&](std::uint64_t, std::uint64_t c) {
+    EXPECT_EQ(c, 1u);
+    ++visits;
+  });
+  EXPECT_EQ(visits, 300u);
 }
 
 // ---------------------------------------------------------------------------
@@ -335,6 +395,31 @@ TEST(SimulatorPerfComplexity, LaunchGraphGrowthIsLinearInGrids) {
           << c.name << " on " << nodes << " nodes";
     }
   }
+}
+
+// A Device reused across sessions keeps the launch graph's capacity, so a
+// session recording no more grids than an earlier one moves no node at all.
+TEST(SimulatorPerfComplexity, SecondSessionReusesLaunchGraphCapacity) {
+  const graph::Csr g = graph::generate_uniform_random(500, 0, 32, 7, true);
+  std::uint32_t src = 0;
+  while (g.degree(src) == 0) ++src;
+  nested::LoopParams p;
+  p.lb_threshold = 16;
+  simt::Device dev;
+  dev.set_fault_config({});
+  std::size_t recorded[2] = {0, 0};
+  for (int run = 0; run < 2; ++run) {
+    simt::Session session = dev.session();
+    apps::run_sssp(dev, g, src, LoopTemplate::kDparNaive, p);
+    recorded[run] = session.graph().nodes.size();
+    if (run == 0) {
+      EXPECT_GT(dev.recorder().relocated_nodes(), 0u);
+    } else {
+      EXPECT_EQ(dev.recorder().relocated_nodes(), 0u);
+    }
+  }
+  EXPECT_GT(recorded[0], 250u) << "not a launch storm";
+  EXPECT_EQ(recorded[0], recorded[1]);
 }
 
 }  // namespace
